@@ -1,9 +1,10 @@
 """Exact arithmetic for third-order k-Jacobsthal sequences.
 
-Scalar terms (recurrence and closed form), the 3x3 matrix families built
-on them, classic k = 2 integer specializations, and a registry of exactly
-verifiable identities.  All arithmetic is exact: arbitrary-precision
-rationals for fixed k, Laurent polynomials for symbolic k.
+Scalar terms (periodic closed form; recurrence and Binet form as reference
+routes), the 3x3 matrix families built on them, classic k = 2 integer
+specializations, and a registry of exactly verifiable identities.  All
+arithmetic is exact: arbitrary-precision rationals for fixed k, Laurent
+polynomials for symbolic k.
 """
 
 from .rings import (

@@ -2,8 +2,8 @@
 
 Subcommands: term, matrix, table, verify.  Output is byte-deterministic;
 results go to stdout (or verbatim to --out), diagnostics to stderr.
-Exit codes: 0 success / all identities pass, 1 identity failure, 2 usage
-or domain error.
+Exit codes: 0 success / all identities pass, 1 identity failure, 2 usage,
+domain or output-file error.
 """
 
 from __future__ import annotations
@@ -198,13 +198,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, code = args.run(args)
-    except ExactAlgebraError as exc:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+    except (ExactAlgebraError, OSError) as exc:  # OSError: --out not writable
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-    else:
+    if not args.out:
         sys.stdout.write(payload)
     return code
 

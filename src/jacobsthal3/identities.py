@@ -12,6 +12,7 @@ lexicographic (k, m, n) order together with both rendered sides.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -22,12 +23,13 @@ from .matrices import (
     J_power,
     assemble_J_closed_form,
     assemble_j_closed_form,
+    det_j_closed_form,
     generator,
     j_power,
-    N_matrix,
+    lucas_seed,
 )
 from .rings import DomainError
-from .sequences import KValue, jac3_binet, jac3_term, lucas3_term
+from .sequences import KValue, jac3_binet, jac3_recurrence, jac3_term, lucas3_term
 
 # An evaluator returns (lhs, rhs) pairs that must all be equal at the grid
 # point; chained equalities like A = B = C become [(A, B), (B, C)].
@@ -147,9 +149,7 @@ def _det_J_formula(k, m, n):
 
 
 def _det_j_formula(k, m, n):
-    kk = k.k()
-    formula = (kk + 1) * (kk + 1) * (kk * kk + kk + 2) * k.k_power(n - 1)
-    return [(j_power(k, n).det(), formula)]
+    return [(j_power(k, n).det(), det_j_closed_form(k, n))]
 
 
 def _closed_form_J(k, m, n):
@@ -168,7 +168,7 @@ def _neg_matrix_theorem(k, m, n):
 
 
 def _neg_binet(k, m, n):
-    return [(jac3_binet(k, -n), jac3_term(k, -n))]
+    return [(jac3_binet(k, -n), jac3_recurrence(k, -n))]
 
 
 def _neg_scalar_lucas(k, m, n):
@@ -184,12 +184,12 @@ def _neg_scalar_lucas(k, m, n):
 def _neg_generating_b1(k, m, n):
     closed = assemble_j_closed_form(k, -n)
     inv_pow = J_power(k, -n)
-    n0 = N_matrix(k, 0)
+    n0 = lucas_seed(k)
     return [(closed, inv_pow * n0), (inv_pow * n0, n0 * inv_pow)]
 
 
 def _inverse_b2(k, m, n):
-    n0_inv = N_matrix(k, 0).inverse()
+    n0_inv = lucas_seed(k).inverse()
     lhs = j_power(k, n).inverse()
     rhs = n0_inv * j_power(k, -n) * n0_inv
     return [(lhs, rhs)]
@@ -203,7 +203,7 @@ def _multi_index_m1(k, m, n):
 
 
 def _classic_binet_b1(k, m, n):
-    return [(classic.jac3_classic(n), jac3_term(KValue.fixed(2), n))]
+    return [(classic.jac3_classic(n), jac3_recurrence(KValue.fixed(2), n))]
 
 
 def _classic_binet_b2(k, m, n):
@@ -281,58 +281,32 @@ def get_identity(name: str) -> Identity:
         raise DomainError(f"unknown identity: {name!r}") from None
 
 
+def _usable_ks(identity: Identity, k_set: Sequence[KValue]) -> list[Optional[KValue]]:
+    if not identity.uses_k:
+        return [None]
+    return [k for k in k_set if not (identity.rational_only and k.is_symbolic)]
+
+
 def _run(
     identity: Identity,
     k_set: Sequence[KValue],
     n_range: tuple[int, int],
     m_range: Optional[tuple[int, int]],
-    allow_empty: bool = False,
 ) -> VerificationReport:
-    n_lo, n_hi = n_range
-    if n_lo > n_hi and not allow_empty:
-        raise DomainError("empty index range")
-    if identity.uses_m:
-        if m_range is None:
-            raise DomainError(f"identity {identity.name} needs an m range")
-        m_lo, m_hi = m_range
-        if m_lo > m_hi and not allow_empty:
-            raise DomainError("empty index range")
-        m_values: Sequence[Optional[int]] = range(m_lo, m_hi + 1)
-    else:
-        m_values = (None,)
+    """Check the (k, m, n) grid in lexicographic order up to its first failure.
 
-    if identity.uses_k:
-        ks: Sequence[Optional[KValue]] = [
-            k for k in k_set if not (identity.rational_only and k.is_symbolic)
-        ]
-        if not ks and not allow_empty:
-            raise DomainError(f"identity {identity.name} needs at least one usable k")
-    else:
-        ks = (None,)
-
-    checks = 0
-    counterexample = None
-    for k in ks:
-        for m in m_values:
-            for n in range(n_lo, n_hi + 1):
-                checks += 1
-                for lhs, rhs in identity.check(k, m, n):
-                    if lhs != rhs:
-                        counterexample = Counterexample(
-                            k=None if k is None else k.label(),
-                            m=m,
-                            n=n,
-                            lhs=render_value(lhs),
-                            rhs=render_value(rhs),
-                        )
-                        break
-                if counterexample:
-                    break
-            if counterexample:
-                break
-        if counterexample:
-            break
-
+    No domain checks: an empty grid passes vacuously with zero checks.
+    """
+    ms = range(m_range[0], m_range[1] + 1) if identity.uses_m else [None]
+    grid = list(itertools.product(_usable_ks(identity, k_set), ms, range(n_range[0], n_range[1] + 1)))
+    failures = (
+        (checks, Counterexample(None if k is None else k.label(), m, n,
+                                render_value(lhs), render_value(rhs)))
+        for checks, (k, m, n) in enumerate(grid, 1)
+        for lhs, rhs in identity.check(k, m, n)
+        if lhs != rhs
+    )
+    checks, counterexample = next(failures, (len(grid), None))
     return VerificationReport(
         identity=identity.name,
         k_labels=tuple(k.label() for k in k_set),
@@ -356,15 +330,18 @@ def verify_identity(
     if n_lo > n_hi:
         raise DomainError("empty index range")
     if n_lo < identity.min_n:
-        raise DomainError(
-            f"identity {name} requires n >= {identity.min_n} (got {n_lo})"
-        )
+        raise DomainError(f"identity {name} requires n >= {identity.min_n} (got {n_lo})")
     if identity.uses_m and m_range is not None and m_range[0] < identity.min_m:
-        raise DomainError(
-            f"identity {name} requires m >= {identity.min_m} (got {m_range[0]})"
-        )
+        raise DomainError(f"identity {name} requires m >= {identity.min_m} (got {m_range[0]})")
     if identity.uses_k and not k_set:
         raise DomainError("empty k set")
+    if identity.uses_m:
+        if m_range is None:
+            raise DomainError(f"identity {name} needs an m range")
+        if m_range[0] > m_range[1]:
+            raise DomainError("empty index range")
+    if not _usable_ks(identity, k_set):
+        raise DomainError(f"identity {name} needs at least one usable k")
     return _run(identity, list(k_set), n_range, m_range)
 
 
@@ -378,13 +355,8 @@ def verify_all(
     Each identity sees the requested grid clamped to its own domain; a
     clamp that empties the range yields a vacuous pass with zero checks.
     """
-    reports = []
-    for identity in IDENTITIES:
-        n_lo, n_hi = n_range
-        clamped_n = (max(n_lo, identity.min_n), n_hi)
-        clamped_m: Optional[tuple[int, int]] = None
-        if identity.uses_m:
-            m_lo, m_hi = m_range
-            clamped_m = (max(m_lo, identity.min_m), m_hi)
-        reports.append(_run(identity, list(k_set), clamped_n, clamped_m, allow_empty=True))
-    return reports
+    return [
+        _run(identity, list(k_set), (max(n_range[0], identity.min_n), n_range[1]),
+             (max(m_range[0], identity.min_m), m_range[1]) if identity.uses_m else None)
+        for identity in IDENTITIES
+    ]

@@ -1,11 +1,14 @@
 """The four 3x3 matrix families built on the scalar sequences.
 
-* M(k, n) and N(k, n): matrix-valued terms of the order-3 recurrence
-  X(n+3) = (k-1)X(n+2) + (k-1)X(n+1) + k*X(n) from explicit seed matrices.
-* J_power(k, n) = G^n and j_power(k, n) = N(k, 0) * G^n for any integer n,
-  where G = M(k, 1) is the invertible generator (det G = k).
-* assemble_*_closed_form: the same matrices rebuilt entry-by-entry from
-  scalar sequence terms, giving an independent route for testing.
+Production route, O(log |n|) matrix products: J_power(k, n) = G^n and
+j_power(k, n) = N(k, 0) * G^n for any integer n, where G is the invertible
+generator (det G = k).  M(k, n) and N(k, n), the matrix-valued terms of the
+recurrence X(n+3) = (k-1)X(n+2) + (k-1)X(n+1) + k*X(n), are the same
+matrices for n >= 0 and are computed as J_power and j_power.
+
+Reference route: assemble_*_closed_form rebuilds the matrices entry by
+entry from scalar terms (tests/test_matrix_sequences.py also runs the
+matrix recurrence from its explicit seeds).
 
 Results are cached per (k, n); everything is immutable so sharing is safe.
 """
@@ -28,70 +31,32 @@ def generator(k: KValue) -> Matrix3:
     return Matrix3(((kk - 1, kk - 1, kk), (one, zero, zero), (zero, one, zero)))
 
 
-def _m_seeds(k: KValue) -> tuple[Matrix3, Matrix3, Matrix3]:
-    kk = k.k()
-    one = k.scalar(1)
-    zero = k.scalar(0)
-    m1 = generator(k)
-    m2 = Matrix3(
-        (
-            (kk * kk - kk, kk * kk - kk + 1, kk * kk - kk),
-            (kk - 1, kk - 1, kk),
-            (one, zero, zero),
-        )
-    )
-    return Matrix3.identity_like(m1), m1, m2
-
-
-def _n_seeds(k: KValue) -> tuple[Matrix3, Matrix3, Matrix3]:
+@lru_cache(maxsize=None)
+def lucas_seed(k: KValue) -> Matrix3:
+    """N(k, 0), the seed that turns powers of G into the Lucas-side family."""
     kk = k.k()
     inv_k = scalar_inverse(kk)
     two = k.scalar(2)
-    n0 = Matrix3(
-        (
-            (kk - 1, 2 * kk, 2 * kk),
-            (two, 1 - kk, two),
-            (2 * inv_k, 2 * inv_k, -(kk * kk + kk - 2) * inv_k),
-        )
-    )
-    n1 = Matrix3(
-        (
-            (kk * kk + 1, kk * kk + 1, kk * kk - kk),
-            (kk - 1, 2 * kk, 2 * kk),
-            (two, 1 - kk, two),
-        )
-    )
-    n2 = Matrix3(
-        (
-            (kk ** 3 + kk, kk ** 3 - 1, kk ** 3 + kk),
-            (kk * kk + 1, kk * kk + 1, kk * kk - kk),
-            (kk - 1, 2 * kk, 2 * kk),
-        )
-    )
-    return n0, n1, n2
+    return Matrix3(((kk - 1, 2 * kk, 2 * kk),
+                    (two, 1 - kk, two),
+                    (2 * inv_k, 2 * inv_k, -(kk * kk + kk - 2) * inv_k)))
 
 
-def _recurrence_matrix(k: KValue, n: int, seeds: tuple[Matrix3, Matrix3, Matrix3]) -> Matrix3:
+def _require_nonnegative(n: int) -> None:
     if n < 0:
         raise DomainError("matrix recurrence terms are defined for n >= 0")
-    kk = k.k()
-    km1 = kk - 1
-    u0, u1, u2 = seeds
-    for _ in range(n):
-        u0, u1, u2 = u1, u2, u2 * km1 + u1 * km1 + u0 * kk
-    return u0
 
 
-@lru_cache(maxsize=None)
 def M_matrix(k: KValue, n: int) -> Matrix3:
-    """n-th term of the k-Jacobsthal matrix recurrence, n >= 0."""
-    return _recurrence_matrix(k, n, _m_seeds(k))
+    """n-th term of the k-Jacobsthal matrix recurrence, n >= 0: G^n."""
+    _require_nonnegative(n)
+    return J_power(k, n)
 
 
-@lru_cache(maxsize=None)
 def N_matrix(k: KValue, n: int) -> Matrix3:
-    """n-th term of the k-Jacobsthal-Lucas matrix recurrence, n >= 0."""
-    return _recurrence_matrix(k, n, _n_seeds(k))
+    """n-th term of the k-Jacobsthal-Lucas matrix recurrence, n >= 0: N(k, 0) * G^n."""
+    _require_nonnegative(n)
+    return j_power(k, n)
 
 
 @lru_cache(maxsize=None)
@@ -103,7 +68,7 @@ def J_power(k: KValue, n: int) -> Matrix3:
 @lru_cache(maxsize=None)
 def j_power(k: KValue, n: int) -> Matrix3:
     """N(k, 0) * G^n for any integer n."""
-    return N_matrix(k, 0) * J_power(k, n)
+    return lucas_seed(k) * J_power(k, n)
 
 
 def assemble_J_closed_form(k: KValue, n: int) -> Matrix3:
@@ -136,10 +101,15 @@ def det_J(k: KValue, n: int) -> Scalar:
     return expected
 
 
-def det_j(k: KValue, n: int) -> Scalar:
-    """det(N(k,0) * G^n) = (k+1)^2 (k^2+k+2) k^(n-1), self-checked likewise."""
+def det_j_closed_form(k: KValue, n: int) -> Scalar:
+    """(k+1)^2 (k^2+k+2) k^(n-1), the determinant of N(k,0) * G^n."""
     kk = k.k()
-    expected = (kk + 1) * (kk + 1) * (kk * kk + kk + 2) * k.k_power(n - 1)
+    return (kk + 1) * (kk + 1) * (kk * kk + kk + 2) * k.k_power(n - 1)
+
+
+def det_j(k: KValue, n: int) -> Scalar:
+    """det(N(k,0) * G^n) by the closed form, self-checked against the cofactor determinant."""
+    expected = det_j_closed_form(k, n)
     if j_power(k, n).det() != expected:
         raise ConsistencyError(f"det(j_power) mismatch at n={n}")
     return expected

@@ -256,6 +256,8 @@ class LaurentPolynomial:
         return self._terms == o._terms
 
     def __hash__(self):
+        if self._terms.keys() <= {0}:  # a constant hashes like the rational it equals
+            return hash(self.coefficient(0))
         return hash(tuple(sorted(self._terms.items())))
 
     def __bool__(self):
@@ -361,7 +363,7 @@ class OmegaElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
 
     def __repr__(self):
         return f"OmegaElement({self.a!r}, {self.b!r})"

@@ -6,10 +6,16 @@ All four families satisfy u(n+3) = (k-1)u(n+2) + (k-1)u(n+1) + k*u(n):
 * j: seeds 2, k-1, k^2+1   (third-order k-Jacobsthal-Lucas)
 * T(n) = (k-1)J(n+1) + k*J(n) and t(n) = (k-1)j(n+1) + k*j(n)
 
-Negative indices come from running the recurrence backwards, which divides
-by k (a unit in both scalar domains).  `jac3_binet` evaluates the same terms
-through the closed form over the cube-root-of-unity extension and is kept
-deliberately independent of the recurrence code path.
+Production route: the periodic closed form, O(log |n|) ring operations for
+any integer n.  The characteristic roots are k, w and w^2 with w^3 = 1, so
+with r = (k, -k-1, 1):
+
+    (k^2+k+1) * J(n) = k^(n+1) - r[n mod 3]
+    (k^2+k+1) * j(n) = (k^2+k+2) * k^n + (k+1) * r[n mod 3]
+
+Reference routes, independent of it: `_term` runs the recurrence (backwards
+for negative n, dividing by the unit k), and `jac3_binet` evaluates the
+Binet form over the cube-root-of-unity extension.
 """
 
 from __future__ import annotations
@@ -74,6 +80,7 @@ class SequenceTerm:
 
 
 def _term(k: KValue, n: int, seeds: tuple[Scalar, Scalar, Scalar]) -> Scalar:
+    """Reference route: the O(|n|) recurrence from three seeds, either direction."""
     kk = k.k()
     km1 = kk - 1
     u0, u1, u2 = seeds
@@ -87,16 +94,36 @@ def _term(k: KValue, n: int, seeds: tuple[Scalar, Scalar, Scalar]) -> Scalar:
     return u0
 
 
-def jac3_term(k: KValue, n: int) -> Scalar:
-    """n-th third-order k-Jacobsthal number, any integer n, by recurrence."""
+def jac3_recurrence(k: KValue, n: int) -> Scalar:
+    """J(n) by the reference recurrence route, any integer n."""
+    return _term(k, n, (k.scalar(0), k.scalar(1), k.k() - 1))
+
+
+def _div_k2_k_1(k: KValue, numerator: Scalar, route: str) -> Scalar:
+    """numerator / (k^2+k+1); an inexact quotient is a bug in `route`, not bad input."""
     kk = k.k()
-    return _term(k, n, (k.scalar(0), k.scalar(1), kk - 1))
+    try:
+        return exact_scalar_div(numerator, kk * kk + kk + 1)
+    except InexactDivisionError as exc:
+        raise ConsistencyError(f"{route} numerator not divisible by k^2+k+1") from exc
+
+
+def _residue(k: KValue, n: int) -> Scalar:
+    """r[n mod 3] with r = (k, -k-1, 1)."""
+    kk = k.k()
+    return (kk, -kk - 1, k.scalar(1))[n % 3]
+
+
+def jac3_term(k: KValue, n: int) -> Scalar:
+    """n-th third-order k-Jacobsthal number, any integer n, by the periodic closed form."""
+    return _div_k2_k_1(k, k.k_power(n + 1) - _residue(k, n), "periodic closed-form")
 
 
 def lucas3_term(k: KValue, n: int) -> Scalar:
-    """n-th third-order k-Jacobsthal-Lucas number, any integer n, by recurrence."""
+    """n-th third-order k-Jacobsthal-Lucas number, any integer n, by the periodic closed form."""
     kk = k.k()
-    return _term(k, n, (k.scalar(2), kk - 1, kk * kk + 1))
+    lead = (kk * kk + kk + 2) * k.k_power(n)
+    return _div_k2_k_1(k, lead + (kk + 1) * _residue(k, n), "periodic closed-form")
 
 
 def T_term(k: KValue, n: int) -> Scalar:
@@ -151,9 +178,4 @@ def jac3_binet(k: KValue, n: int) -> Scalar:
     root_part = mix.div_root_diff()
     if root_part.b != 0:
         raise ConsistencyError("omega component did not cancel in closed form")
-    numerator = lead + signed * root_part.a
-    denominator = kk * kk + kk + 1
-    try:
-        return exact_scalar_div(numerator, denominator)
-    except InexactDivisionError as exc:
-        raise ConsistencyError("closed-form numerator not divisible by k^2+k+1") from exc
+    return _div_k2_k_1(k, lead + signed * root_part.a, "closed-form")

@@ -30,6 +30,7 @@ from jacobsthal3 import (
     verify_all,
 )
 from jacobsthal3.identities import _run
+from jacobsthal3.sequences import jac3_recurrence
 from jacobsthal3.cli import main
 
 RATIONAL_KS = [KValue.fixed(Fraction(1, 2)), KValue.fixed(1), KValue.fixed(2),
@@ -49,7 +50,9 @@ def test_criterion_1_three_route_agreement():
     start = time.perf_counter()
     for k in RATIONAL_KS:
         for n in range(-25, 31):
-            recurrence = jac3_term(k, n)
+            recurrence = jac3_recurrence(k, n)
+            if jac3_term(k, n) != recurrence:
+                failures.append(f"periodic closed form mismatch k={k.label()} n={n}")
             if jac3_binet(k, n) != recurrence:
                 failures.append(f"binet mismatch k={k.label()} n={n}")
             if J_power(k, n).rows[1][0] != recurrence:

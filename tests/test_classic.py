@@ -11,6 +11,7 @@ from jacobsthal3 import (
     modified_lucas_classic,
     modified_lucas_recurrence,
 )
+from jacobsthal3.sequences import jac3_recurrence
 
 
 def test_Z_piecewise():
@@ -46,7 +47,7 @@ def test_classic_jacobsthal_values():
 def test_classic_jacobsthal_matches_generic_recurrence():
     k2 = KValue.fixed(2)
     for n in range(31):
-        assert jac3_classic(n) == jac3_term(k2, n)
+        assert jac3_classic(n) == jac3_recurrence(k2, n) == jac3_term(k2, n)
 
 
 def test_classic_requires_nonnegative_index():

@@ -207,6 +207,15 @@ def test_out_redirects_payload(tmp_path, capsys):
     assert target.read_text() == '[["0","1","0"],["0","0","1"],["k^-1","-1 + k^-1","-1 + k^-1"]]\n'
 
 
+def test_unwritable_out_is_an_error_not_a_traceback(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run_cli(capsys, "term", "--family", "J", "--k", "2", "--n", "5", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.exists()
+
+
 def test_module_entry_point_roundtrip():
     proc = subprocess.run(
         [sys.executable, "-m", "jacobsthal3", "term", "--family", "J", "--k", "2", "--n", "6"],

@@ -18,6 +18,7 @@ from jacobsthal3 import (
     generator,
     j_power,
     matrix_term,
+    scalar_inverse,
 )
 
 SYM = KValue.symbolic()
@@ -44,6 +45,61 @@ def leibniz_det(m):
     )
 
 
+# --- reference route: the matrix recurrence from explicit seeds ---------------
+
+
+def m_seeds(k):
+    """M(k, 0..2): I, the generator G and G^2, written out entry by entry."""
+    kk, one, zero = k.k(), k.scalar(1), k.scalar(0)
+    m1 = Matrix3(((kk - 1, kk - 1, kk), (one, zero, zero), (zero, one, zero)))
+    m2 = Matrix3(
+        (
+            (kk * kk - kk, kk * kk - kk + 1, kk * kk - kk),
+            (kk - 1, kk - 1, kk),
+            (one, zero, zero),
+        )
+    )
+    return Matrix3.identity_like(m1), m1, m2
+
+
+def n_seeds(k):
+    """N(k, 0..2), written out entry by entry."""
+    kk, two = k.k(), k.scalar(2)
+    inv_k = scalar_inverse(kk)
+    n0 = Matrix3(
+        (
+            (kk - 1, 2 * kk, 2 * kk),
+            (two, 1 - kk, two),
+            (2 * inv_k, 2 * inv_k, -(kk * kk + kk - 2) * inv_k),
+        )
+    )
+    n1 = Matrix3(
+        (
+            (kk * kk + 1, kk * kk + 1, kk * kk - kk),
+            (kk - 1, 2 * kk, 2 * kk),
+            (two, 1 - kk, two),
+        )
+    )
+    n2 = Matrix3(
+        (
+            (kk ** 3 + kk, kk ** 3 - 1, kk ** 3 + kk),
+            (kk * kk + 1, kk * kk + 1, kk * kk - kk),
+            (kk - 1, 2 * kk, 2 * kk),
+        )
+    )
+    return n0, n1, n2
+
+
+def recurrence_matrix(k, n, seeds):
+    """X(n) from X(n+3) = (k-1)X(n+2) + (k-1)X(n+1) + k*X(n), O(n) steps, n >= 0."""
+    kk = k.k()
+    km1 = kk - 1
+    u0, u1, u2 = seeds
+    for _ in range(n):
+        u0, u1, u2 = u1, u2, u2 * km1 + u1 * km1 + u0 * kk
+    return u0
+
+
 # --- recurrence-defined families ---------------------------------------------
 
 
@@ -56,7 +112,10 @@ def test_M_seeds():
 
 
 def test_M_recurrence_matches_fast_power():
-    assert M_matrix(K2, 4) == generator(K2) ** 4
+    for k in ALL_K:
+        seeds = m_seeds(k)
+        for n in range(13):
+            assert M_matrix(k, n) == recurrence_matrix(k, n, seeds), f"k={k.label()} n={n}"
 
 
 def test_N_seed_zero_display():
@@ -75,13 +134,19 @@ def test_N_seed_two_first_row():
 
 
 def test_N_recurrence_matches_product_oracle():
-    assert N_matrix(K2, 3) == N_matrix(K2, 0) * (generator(K2) ** 3)
+    for k in ALL_K:
+        seeds = n_seeds(k)
+        for n in range(13):
+            reference = recurrence_matrix(k, n, seeds)
+            assert N_matrix(k, n) == reference, f"k={k.label()} n={n}"
+            assert reference == seeds[0] * (generator(k) ** n), f"k={k.label()} n={n}"
 
 
 def test_matrix_recurrence_requires_nonnegative_index():
-    with pytest.raises(DomainError):
+    message = r"^matrix recurrence terms are defined for n >= 0$"
+    with pytest.raises(DomainError, match=message):
         M_matrix(SYM, -1)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=message):
         N_matrix(K2, -2)
 
 
@@ -91,12 +156,12 @@ def test_matrix_recurrence_requires_nonnegative_index():
 def test_J_power_basics():
     assert J_power(SYM, 0) == Matrix3.identity_like(generator(SYM))
     assert J_power(SYM, -1) == generator(SYM).inverse()
-    assert J_power(K2, 5) == M_matrix(K2, 5)
+    assert J_power(K2, 5) == recurrence_matrix(K2, 5, m_seeds(K2))
 
 
 def test_j_power_basics():
-    assert j_power(SYM, 0) == N_matrix(SYM, 0)
-    assert j_power(SYM, 1) == N_matrix(SYM, 1)
+    assert j_power(SYM, 0) == n_seeds(SYM)[0]
+    assert j_power(SYM, 1) == n_seeds(SYM)[1]
 
 
 def test_j_power_negative_matches_lincomb_oracle():
@@ -108,9 +173,10 @@ def test_j_power_negative_matches_lincomb_oracle():
 
 @pytest.mark.parametrize("k", ALL_K)
 def test_recurrence_equals_power_route(k):
+    m_ref, n_ref = m_seeds(k), n_seeds(k)
     for n in range(16):
-        assert M_matrix(k, n) == J_power(k, n), f"M vs power at n={n}"
-        assert N_matrix(k, n) == j_power(k, n), f"N vs power at n={n}"
+        assert recurrence_matrix(k, n, m_ref) == J_power(k, n), f"M vs power at n={n}"
+        assert recurrence_matrix(k, n, n_ref) == j_power(k, n), f"N vs power at n={n}"
 
 
 # --- closed-form assembly -------------------------------------------------------
@@ -124,8 +190,8 @@ def test_assemble_J_base_cases():
 
 
 def test_assemble_j_base_cases():
-    assert assemble_j_closed_form(SYM, 1) == N_matrix(SYM, 1)
-    assert assemble_j_closed_form(SYM, 0) == N_matrix(SYM, 0)
+    assert assemble_j_closed_form(SYM, 1) == n_seeds(SYM)[1]
+    assert assemble_j_closed_form(SYM, 0) == n_seeds(SYM)[0]
     assert assemble_j_closed_form(K2, 4) == j_power(K2, 4)
 
 

@@ -155,6 +155,15 @@ def test_rendering_is_injective_on_samples(p):
     assert str(p) != str(q)
 
 
+def test_constant_hashes_like_the_rational_it_equals():
+    for c in (3, Fraction(-1, 2), 0):
+        assert L.constant(c) == c
+        assert hash(L.constant(c)) == hash(c)
+    assert len({L.constant(3), 3}) == 1
+    assert len({L.constant(3), K, 3}) == 2
+    assert {L.zero(): "zero"}[0] == "zero"
+
+
 # --- omega extension ---------------------------------------------------------
 
 W = OmegaElement(Fraction(0), Fraction(1))
@@ -212,3 +221,14 @@ def test_omega_pow_matches_repeated_product(x, n):
     for _ in range(n):
         expected = expected * x
     assert x ** n == expected
+
+
+def test_element_without_w_part_hashes_like_its_scalar():
+    two = OmegaElement(Fraction(2), Fraction(0))
+    assert two == 2
+    assert hash(two) == hash(2)
+    assert len({two, 2}) == 1
+    laurent_two = OmegaElement(L.constant(2), L.zero())
+    assert laurent_two == two and hash(laurent_two) == hash(two)
+    assert hash(OmegaElement(L.constant(1), L.constant(2))) == hash(OmegaElement(Fraction(1), Fraction(2)))
+

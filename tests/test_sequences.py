@@ -13,6 +13,7 @@ from jacobsthal3 import (
     sequence_term,
     t_term,
 )
+from jacobsthal3.sequences import _term, jac3_recurrence
 
 SYM = KValue.symbolic()
 K2 = KValue.fixed(2)
@@ -130,12 +131,25 @@ def test_binet_symbolic_examples():
 @pytest.mark.parametrize("k", K_SAMPLES)
 def test_binet_agrees_with_recurrence_rational(k):
     for n in range(-25, 31):
-        assert jac3_binet(k, n) == jac3_term(k, n), f"k={k.label()} n={n}"
+        recurrence = jac3_recurrence(k, n)
+        assert jac3_binet(k, n) == recurrence, f"k={k.label()} n={n}"
+        assert jac3_term(k, n) == recurrence, f"k={k.label()} n={n}"
 
 
 def test_binet_agrees_with_recurrence_symbolic():
     for n in range(-10, 16):
-        assert jac3_binet(SYM, n) == jac3_term(SYM, n), f"n={n}"
+        recurrence = jac3_recurrence(SYM, n)
+        assert jac3_binet(SYM, n) == recurrence, f"n={n}"
+        assert jac3_term(SYM, n) == recurrence, f"n={n}"
+
+
+@pytest.mark.parametrize("k", K_SAMPLES + [SYM])
+def test_periodic_closed_forms_agree_with_recurrence(k):
+    kk = k.k()
+    lucas_seeds = (k.scalar(2), kk - 1, kk * kk + 1)
+    for n in range(-40, 41):
+        assert jac3_term(k, n) == jac3_recurrence(k, n), f"J at k={k.label()} n={n}"
+        assert lucas3_term(k, n) == _term(k, n, lucas_seeds), f"j at k={k.label()} n={n}"
 
 
 @pytest.mark.parametrize("k", K_SAMPLES + [SYM])
