@@ -10,7 +10,9 @@ Reference route: assemble_*_closed_form rebuilds the matrices entry by
 entry from scalar terms (tests/test_matrix_sequences.py also runs the
 matrix recurrence from its explicit seeds).
 
-Results are cached per (k, n); everything is immutable so sharing is safe.
+Results are cached per (k, n) in LRU caches of CACHE_SIZE entries each, so
+a long-lived process holds a bounded number of matrices; everything is
+immutable so sharing is safe.
 """
 
 from __future__ import annotations
@@ -21,8 +23,12 @@ from .matrix3 import Matrix3
 from .rings import ConsistencyError, DomainError, Scalar, scalar_inverse
 from .sequences import KValue, T_term, jac3_term, lucas3_term, t_term
 
+# Entries per cache.  `jac3 verify` on its default grid asks J_power for 192
+# distinct (k, n), so its whole working set fits.
+CACHE_SIZE = 1024
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=CACHE_SIZE)
 def generator(k: KValue) -> Matrix3:
     """The companion matrix M(k, 1) whose powers carry the J sequence."""
     kk = k.k()
@@ -31,7 +37,7 @@ def generator(k: KValue) -> Matrix3:
     return Matrix3(((kk - 1, kk - 1, kk), (one, zero, zero), (zero, one, zero)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def lucas_seed(k: KValue) -> Matrix3:
     """N(k, 0), the seed that turns powers of G into the Lucas-side family."""
     kk = k.k()
@@ -59,13 +65,13 @@ def N_matrix(k: KValue, n: int) -> Matrix3:
     return j_power(k, n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def J_power(k: KValue, n: int) -> Matrix3:
     """Generator power G^n for any integer n (G is always invertible)."""
     return generator(k) ** n
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def j_power(k: KValue, n: int) -> Matrix3:
     """N(k, 0) * G^n for any integer n."""
     return lucas_seed(k) * J_power(k, n)

@@ -4,7 +4,12 @@ Two scalar domains are supported everywhere in this package:
 
 * ``fractions.Fraction`` for a fixed rational parameter k, and
 * :class:`LaurentPolynomial` for symbolic k (rational coefficients on
-  integer, possibly negative, powers of k).
+  integer, possibly negative, powers of k), held densely as integer
+  numerators over one shared denominator and multiplied by Kronecker
+  substitution: both operands are packed into big integers, whose product
+  CPython computes with Karatsuba (Harvey, "Faster polynomial
+  multiplication via multipoint Kronecker substitution", J. Symbolic
+  Comput. 44, 2009).
 
 On top of either domain, :class:`OmegaElement` adjoins a primitive cube
 root of unity w with w^2 = -w - 1, which is what makes the closed-form
@@ -14,6 +19,8 @@ root of unity w with w^2 = -w - 1, which is what makes the closed-form
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, sub
 from typing import Mapping, Union
 
 
@@ -57,25 +64,126 @@ def _as_fraction(c) -> Fraction:
     raise DomainError(f"not a rational coefficient: {c!r}")
 
 
-class LaurentPolynomial:
-    """Sparse Laurent polynomial in the symbol k over the rationals.
+def _trimmed(lo: int, coeffs) -> tuple[int, tuple[int, ...]]:
+    """Drop the zero coefficients at both ends, moving lo past the low ones."""
+    start, stop = 0, len(coeffs)
+    while start < stop and not coeffs[start]:
+        start += 1
+    if start == stop:
+        return 0, ()
+    while not coeffs[stop - 1]:
+        stop -= 1
+    return lo + start, tuple(coeffs[start:stop])
 
-    Stored in canonical form: a map from integer exponent to nonzero
-    Fraction coefficient, the empty map being the unique zero.  Values are
-    immutable after construction and structural equality of canonical
-    forms is ring equality.
+
+def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients of the product of two integer polynomials, by Kronecker substitution.
+
+    Each operand is packed into one big integer by evaluating it at
+    x = 2^(8*width), CPython's Karatsuba multiplies the two integers, and
+    the product's coefficients are read back from its bytes.  No product
+    coefficient exceeds max|a| * max|b| * min(len a, len b) in absolute
+    value, and a slot holds that bound plus a sign bit, so slots never
+    carry into each other.  Signed coefficients go through a bias of half
+    a slot: a coefficient c is stored as c + half, and the packed integer
+    is corrected by subtracting half in every slot.
+    """
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    width = bound.bit_length() // 8 + 1  # bytes, so that half = 2^(8*width-1) > bound
+    half = 1 << (8 * width - 1)
+    half_slot = half.to_bytes(width, "little")
+
+    def pack(coeffs):
+        biased = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
+        return int.from_bytes(biased, "little") - int.from_bytes(half_slot * len(coeffs), "little")
+
+    packed_a = pack(a)
+    packed_b = packed_a if b is a else pack(b)
+    size = (len(a) + len(b) - 1) * width
+    biased = packed_a * packed_b + int.from_bytes(half_slot * (size // width), "little")
+    raw = biased.to_bytes(size, "little")
+    return tuple([int.from_bytes(raw[i:i + width], "little") - half for i in range(0, size, width)])
+
+
+def _fill(p: "LaurentPolynomial", lo: int, coeffs: tuple[int, ...], den: int) -> "LaurentPolynomial":
+    object.__setattr__(p, "lo", lo)
+    object.__setattr__(p, "coeffs", coeffs)
+    object.__setattr__(p, "den", den)
+    return p
+
+
+def _make(lo: int, coeffs: tuple[int, ...], den: int) -> "LaurentPolynomial":
+    """Wrap parts that are already canonical, skipping every check."""
+    return _fill(object.__new__(LaurentPolynomial), lo, coeffs, den)
+
+
+def _reduced(lo: int, coeffs: tuple[int, ...], den: int) -> "LaurentPolynomial":
+    """Canonical form of numerators with nonzero ends over a positive den."""
+    if den != 1:
+        g = gcd(den, *coeffs)
+        if g != 1:
+            coeffs = tuple([c // g for c in coeffs])
+            den //= g
+    return _make(lo, coeffs, den)
+
+
+def _combine(x: "LaurentPolynomial", y: "LaurentPolynomial", op) -> "LaurentPolynomial":
+    """x + y or x - y (op is operator.add or operator.sub) on aligned numerators."""
+    a, b = x.coeffs, y.coeffs
+    if not b:
+        return x
+    if not a:
+        return y if op is add else -y
+    den = x.den
+    if den != y.den:
+        den = lcm(den, y.den)
+        a = [c * (den // x.den) for c in a]
+        b = [c * (den // y.den) for c in b]
+    lo = min(x.lo, y.lo)
+    out = [0] * (max(x.lo + len(a), y.lo + len(b)) - lo)
+    i = x.lo - lo
+    out[i:i + len(a)] = a
+    j = y.lo - lo
+    out[j:j + len(b)] = map(op, out[j:j + len(b)], b)
+    lo, coeffs = _trimmed(lo, out)
+    return _reduced(lo, coeffs, den)
+
+
+class LaurentPolynomial:
+    """Laurent polynomial in the symbol k over the rationals, in dense integer form.
+
+    The value is (c_0 + c_1 k + ... + c_m k^m) * k^lo / den, stored as
+
+    * ``lo``: the lowest exponent,
+    * ``coeffs``: the integer numerators c_0..c_m of k^lo..k^(lo+m), with
+      no zero at either end (the empty tuple is the zero, with lo = 0),
+    * ``den``: one positive denominator shared by every coefficient and
+      coprime to their content (1 for an integer polynomial).
+
+    This form is canonical, so structural equality is ring equality.
+    Values are immutable.  Products of two multi-term operands use
+    Kronecker substitution (see :func:`_kronecker_mul`); a single-term
+    operand scales the other's numerators directly.  ``terms`` and
+    ``coefficient`` present the coefficients as Fractions.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("lo", "coeffs", "den")
 
     def __init__(self, terms: Mapping[int, Union[int, Fraction]] | None = None):
-        canon: dict[int, Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                c = _as_fraction(c)
-                if c != 0:
-                    canon[int(e)] = c
-        object.__setattr__(self, "_terms", canon)
+        fracs = {}
+        for e, c in (terms or {}).items():
+            c = _as_fraction(c)
+            if c:
+                fracs[int(e)] = c
+        lo, coeffs, den = 0, [], 1
+        if fracs:
+            lo = min(fracs)
+            den = lcm(*(c.denominator for c in fracs.values()))
+            coeffs = [0] * (max(fracs) - lo + 1)
+            for e, c in fracs.items():
+                coeffs[e - lo] = c.numerator * (den // c.denominator)
+        # den is the lcm of reduced denominators, so it is coprime to the content.
+        _fill(self, lo, tuple(coeffs), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPolynomial is immutable")
@@ -84,15 +192,15 @@ class LaurentPolynomial:
 
     @classmethod
     def zero(cls) -> "LaurentPolynomial":
-        return cls()
+        return _make(0, (), 1)
 
     @classmethod
     def one(cls) -> "LaurentPolynomial":
-        return cls({0: 1})
+        return _make(0, (1,), 1)
 
     @classmethod
     def k(cls) -> "LaurentPolynomial":
-        return cls({1: 1})
+        return _make(1, (1,), 1)
 
     @classmethod
     def constant(cls, c) -> "LaurentPolynomial":
@@ -106,25 +214,22 @@ class LaurentPolynomial:
 
     @property
     def terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
+        return {self.lo + i: Fraction(c, self.den) for i, c in enumerate(self.coeffs) if c}
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self.coeffs
 
     @property
     def is_unit(self) -> bool:
         # Units of the Laurent ring are the single-term elements c*k^e.
-        return len(self._terms) == 1
+        return len(self.coeffs) == 1
 
     def coefficient(self, exp: int) -> Fraction:
-        return self._terms.get(exp, Fraction(0))
-
-    def _min_exp(self) -> int:
-        return min(self._terms)
-
-    def _max_exp(self) -> int:
-        return max(self._terms)
+        i = exp - self.lo
+        if 0 <= i < len(self.coeffs):
+            return Fraction(self.coeffs[i], self.den)
+        return Fraction(0)
 
     # -- ring operations -------------------------------------------------
 
@@ -133,45 +238,49 @@ class LaurentPolynomial:
         if isinstance(other, LaurentPolynomial):
             return other
         if isinstance(other, (int, Fraction)):
-            return LaurentPolynomial({0: other})
+            if not other:
+                return _make(0, (), 1)
+            return _make(0, (other.numerator,), other.denominator)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = dict(self._terms)
-        for e, c in o._terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return LaurentPolynomial(terms)
+        return _combine(self, o, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPolynomial({e: -c for e, c in self._terms.items()})
+        return _make(self.lo, tuple([-c for c in self.coeffs]), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return _combine(self, o, sub)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return _combine(o, self, sub)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms: dict[int, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in o._terms.items():
-                e = e1 + e2
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return LaurentPolynomial(terms)
+        a, b = self.coeffs, o.coeffs
+        if not a or not b:
+            return _make(0, (), 1)
+        if len(a) == 1 or len(b) == 1:
+            if len(a) != 1:
+                a, b = b, a
+            c = a[0]
+            coeffs = b if c == 1 else tuple([c * x for x in b])
+        else:
+            coeffs = _kronecker_mul(a, b)
+        return _reduced(self.lo + o.lo, coeffs, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -179,10 +288,9 @@ class LaurentPolynomial:
         # Scalar division only (used for the exact /3 in the omega extension);
         # polynomial divisors go through exact_div.
         if isinstance(other, (int, Fraction)):
-            d = _as_fraction(other)
-            if d == 0:
+            if other == 0:
                 raise DomainError("division by zero")
-            return LaurentPolynomial({e: c / d for e, c in self._terms.items()})
+            return self * (1 / _as_fraction(other))
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -202,50 +310,56 @@ class LaurentPolynomial:
     def inverse(self) -> "LaurentPolynomial":
         if not self.is_unit:
             raise DomainError("not a unit: only single-term Laurent polynomials are invertible")
-        (e, c), = self._terms.items()
-        return LaurentPolynomial({-e: Fraction(1) / c})
+        c = self.coeffs[0]
+        return _make(-self.lo, (self.den if c > 0 else -self.den,), abs(c))
 
     def exact_div(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
         """Exact quotient self/divisor; raises if the division is inexact.
 
-        Both operands are shifted by a monomial so their lowest exponent is
-        zero, which reduces the problem to ordinary polynomial long division
-        (monomials are units, so divisibility is unaffected).
+        Monomials are units, so dividing the numerator tuples (both starting
+        at exponent 0) as ordinary polynomials decides divisibility.  That
+        long division is done over the integers: the dividend is first
+        scaled by lead^s, where lead is the divisor's leading numerator and
+        s the number of quotient terms, which makes every quotient digit an
+        exact integer.  The scale is divided out again in the denominator.
         """
         divisor = self._coerce(divisor)
         if divisor is None or divisor.is_zero:
             raise DomainError("division by zero polynomial")
         if self.is_zero:
             return LaurentPolynomial.zero()
-        a = self._min_exp()
-        b = divisor._min_exp()
-        rem = {e - a: c for e, c in self._terms.items()}
-        div = {e - b: c for e, c in divisor._terms.items()}
-        dq = max(div)
-        lead = div[dq]
-        quot: dict[int, Fraction] = {}
-        while rem and max(rem) >= dq:
-            dr = max(rem)
-            coeff = rem[dr] / lead
-            shift = dr - dq
-            quot[shift] = coeff
-            for e, c in div.items():
-                v = rem.get(e + shift, Fraction(0)) - c * coeff
-                if v:
-                    rem[e + shift] = v
-                else:
-                    rem.pop(e + shift, None)
-        if rem:
-            remainder = LaurentPolynomial({e + a: c for e, c in rem.items()})
-            raise InexactDivisionError("inexact division", remainder)
-        return LaurentPolynomial({e + (a - b): c for e, c in quot.items()})
+        if divisor.is_unit:
+            return self * divisor.inverse()
+        b = divisor.coeffs
+        width = len(b)
+        steps = len(self.coeffs) - width + 1
+        lead = b[-1]
+        scale = lead ** max(steps, 0)
+        rem = [c * scale for c in self.coeffs]
+        quot = [0] * max(steps, 0)
+        for i in range(steps - 1, -1, -1):
+            q = rem[i + width - 1] // lead
+            if q:
+                quot[i] = q
+                rem[i:i + width] = [r - q * c for r, c in zip(rem[i:i + width], b)]
+        # The quotient is Q/scale * db/da; den must stay positive.
+        sign = -1 if scale < 0 else 1
+        if any(rem[:width - 1]):
+            lo, coeffs = _trimmed(self.lo, [sign * r for r in rem[:width - 1]])
+            raise InexactDivisionError("inexact division", _reduced(lo, coeffs, abs(scale) * self.den))
+        # self = quotient * divisor, so the quotient's end numerators are nonzero.
+        coeffs = tuple([sign * divisor.den * q for q in quot])
+        return _reduced(self.lo - divisor.lo, coeffs, abs(scale) * self.den)
 
     def evaluate(self, x: Union[int, Fraction]) -> Fraction:
         """Substitute a rational value for k."""
         x = _as_fraction(x)
-        if x == 0 and self._terms and self._min_exp() < 0:
+        if x == 0 and self.coeffs and self.lo < 0:
             raise DomainError("cannot evaluate negative powers at k = 0")
-        return sum((c * x ** e for e, c in self._terms.items()), Fraction(0))
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc * x ** self.lo / self.den
 
     # -- comparison and rendering ----------------------------------------
 
@@ -253,18 +367,18 @@ class LaurentPolynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._terms == o._terms
+        return self.coeffs == o.coeffs and self.lo == o.lo and self.den == o.den
 
     def __hash__(self):
-        if self._terms.keys() <= {0}:  # a constant hashes like the rational it equals
+        if self.lo == 0 and len(self.coeffs) <= 1:  # a constant hashes like the rational it equals
             return hash(self.coefficient(0))
-        return hash(tuple(sorted(self._terms.items())))
+        return hash((self.lo, self.coeffs, self.den))
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self.coeffs)
 
     def __repr__(self):
-        return f"LaurentPolynomial({self._terms!r})"
+        return f"LaurentPolynomial({self.terms!r})"
 
     def __str__(self):
         """Canonical rendering: strictly decreasing exponents, e.g. "k^2 - k + 1 - 2k^-1".
@@ -272,13 +386,16 @@ class LaurentPolynomial:
         Non-integer coefficients are parenthesised, "(1/2)k^3", to stay
         unambiguous; unit coefficients are dropped before a power of k.
         """
-        if not self._terms:
+        if not self.coeffs:
             return "0"
         chunks = []
-        for e in sorted(self._terms, reverse=True):
-            c = self._terms[e]
+        for i in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[i]
+            if not c:
+                continue
+            e = self.lo + i
             sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
+            mag = Fraction(abs(c), self.den)
             if e == 0:
                 body = str(mag)
             else:

@@ -20,6 +20,7 @@ from jacobsthal3 import (
     matrix_term,
     scalar_inverse,
 )
+from jacobsthal3.matrices import lucas_seed
 
 SYM = KValue.symbolic()
 K2 = KValue.fixed(2)
@@ -280,3 +281,15 @@ def test_matrix_term_dispatch():
         matrix_term("Q", SYM, 1)
     with pytest.raises(DomainError):
         matrix_term("M", SYM, -1)
+
+
+# --- caches ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cached", [generator, lucas_seed, J_power, j_power],
+                         ids=lambda f: f.__name__)
+def test_caches_are_bounded(cached):
+    # A long-lived process must not keep every (k, n) it ever saw; the bound
+    # still holds the default verify grid's 192 distinct J_power keys.
+    maxsize = cached.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 1024

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -162,6 +163,153 @@ def test_constant_hashes_like_the_rational_it_equals():
     assert len({L.constant(3), 3}) == 1
     assert len({L.constant(3), K, 3}) == 2
     assert {L.zero(): "zero"}[0] == "zero"
+
+
+# --- dense form and Kronecker multiplication ----------------------------------
+
+
+def _schoolbook(p: L, q: L) -> dict:
+    """Reference product on the Fraction terms, one pair of terms at a time."""
+    out: dict = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _assert_canonical(p: L):
+    assert p.den > 0
+    if not p.coeffs:
+        assert (p.lo, p.den) == (0, 1)
+        return
+    assert p.coeffs[0] and p.coeffs[-1]
+    assert gcd(p.den, *p.coeffs) == 1
+    assert all(type(c) is int for c in p.coeffs)
+
+
+def _dense(lo, coeffs) -> L:
+    return L({lo + i: c for i, c in enumerate(coeffs)})
+
+
+big_st = st.integers(-2 ** 200, 2 ** 200)
+frac_st = st.fractions(max_denominator=12).filter(lambda c: abs(c.numerator) < 2 ** 64)
+dense_big_st = st.builds(_dense, st.integers(-30, 30), st.lists(big_st, max_size=24))
+dense_frac_st = st.builds(_dense, st.integers(-30, 30), st.lists(frac_st, max_size=24))
+monomial_st = st.builds(L.monomial, st.one_of(big_st, frac_st), st.integers(-40, 40))
+any_laurent_st = st.one_of(dense_big_st, dense_frac_st, monomial_st, st.just(L.zero()))
+
+
+@settings(max_examples=200)
+@given(any_laurent_st, any_laurent_st)
+def test_product_matches_schoolbook(p, q):
+    prod = p * q
+    _assert_canonical(prod)
+    assert prod.terms == _schoolbook(p, q)
+    assert prod == L(_schoolbook(p, q))
+
+
+@settings(max_examples=50)
+@given(monomial_st, st.lists(big_st, min_size=30, max_size=60), st.integers(-20, 20))
+def test_single_term_times_long_operand(m, coeffs, lo):
+    long = _dense(lo, coeffs)
+    assert m * long == long * m == L(_schoolbook(m, long))
+
+
+@pytest.mark.parametrize("mag, length", [(1, 127), (1, 128), (1, 255), (15, 2), (16, 2),
+                                         (2 ** 64, 2), (2 ** 100 - 1, 33)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_product_coefficient_exactly_at_slot_bound(mag, length, sign):
+    # With every numerator equal to +-mag the middle coefficient is
+    # +-mag^2 * length, exactly the bound that sizes the packing slot.
+    a = _dense(-3, [mag] * length)
+    b = _dense(2, [sign * mag] * length)
+    prod = a * b
+    assert prod.coefficient(length - 2) == sign * mag * mag * length
+    assert prod.terms == _schoolbook(a, b)
+
+
+@settings(max_examples=50)
+@given(st.integers(1, 2 ** 70), st.integers(2, 40), st.integers(-10, 10), st.sampled_from([1, -1]))
+def test_product_at_slot_bound_property(mag, length, lo, sign):
+    a = _dense(lo, [mag] * length)
+    b = _dense(-lo, [sign * mag] * length)
+    assert (a * b).coefficient(length - 1) == sign * mag * mag * length
+    assert (a * b).terms == _schoolbook(a, b)
+
+
+def test_fractional_denominators_cancel():
+    half_sum = L({0: Fraction(1, 2), 1: Fraction(1, 2)})
+    assert half_sum.den == 2 and half_sum.coeffs == (1, 1)
+    assert half_sum * 2 == K + 1
+    assert (half_sum * 2).den == 1
+    third = L({-1: Fraction(1, 3), 2: Fraction(2, 3)})
+    prod = third * L({0: 3, 1: 6})
+    _assert_canonical(prod)
+    assert prod.den == 1 and prod == L({-1: 1, 0: 2, 2: 2, 3: 4})
+    mixed = L({0: Fraction(1, 6)}) + L({1: Fraction(1, 4)})
+    assert mixed.den == 12 and mixed.coeffs == (2, 3)
+
+
+@settings(max_examples=100)
+@given(any_laurent_st, any_laurent_st)
+def test_cancellation_gives_the_canonical_zero(p, q):
+    for z in (p * q - q * p, p - p, p * q + (-q) * p, (p + q) - p - q):
+        assert z == L.zero() and z == 0
+        assert hash(z) == hash(L.zero()) == hash(0)
+        assert z.coeffs == () and z.lo == 0 and z.den == 1
+
+
+@settings(max_examples=100)
+@given(any_laurent_st, any_laurent_st)
+def test_sum_and_difference_match_terms(p, q):
+    for got, sign in ((p + q, 1), (p - q, -1)):
+        _assert_canonical(got)
+        want = p.terms
+        for e, c in q.terms.items():
+            want[e] = want.get(e, Fraction(0)) + sign * c
+        assert got.terms == {e: c for e, c in want.items() if c}
+
+
+def _shifted(p: L) -> dict:
+    lo = min(p.terms)
+    return {e - lo: c for e, c in p.terms.items()}
+
+
+@settings(max_examples=100)
+@given(dense_frac_st, dense_frac_st)
+def test_exact_div_remainder_matches_long_division(p, q):
+    if p.is_zero or len(q.coeffs) < 2:
+        return
+    quot, rem = _long_division(_shifted(p), _shifted(q))
+    if rem:
+        with pytest.raises(InexactDivisionError) as excinfo:
+            p.exact_div(q)
+        assert excinfo.value.remainder == L({e + p.lo: c for e, c in rem.items()})
+    else:
+        shift = p.lo - q.lo
+        assert p.exact_div(q) == L({e + shift: c for e, c in quot.items()})
+
+
+@settings(max_examples=100)
+@given(any_laurent_st, any_laurent_st)
+def test_exact_div_inverts_products_of_big_and_fractional_operands(p, q):
+    if q.is_zero:
+        return
+    quotient = (p * q).exact_div(q)
+    _assert_canonical(quotient)
+    assert quotient == p
+
+
+def test_terms_and_coefficient_are_fractions():
+    p = L({-2: 3, 0: Fraction(1, 2), 4: -7})
+    assert p.terms == {-2: Fraction(3), 0: Fraction(1, 2), 4: Fraction(-7)}
+    assert all(type(c) is Fraction for c in p.terms.values())
+    for e in range(-3, 6):
+        assert type(p.coefficient(e)) is Fraction
+    assert p.coefficient(4) == -7 and p.coefficient(1) == 0
+    assert type(L.zero().coefficient(0)) is Fraction
+    assert all(type(c) is Fraction for c in (K * K + 1).terms.values())
+    assert lcm(*(c.denominator for c in p.terms.values())) == p.den
 
 
 # --- omega extension ---------------------------------------------------------
