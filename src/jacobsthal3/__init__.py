@@ -11,16 +11,10 @@ from .rings import (
     ConsistencyError,
     DomainError,
     ExactAlgebraError,
-    ExactRational,
     InexactDivisionError,
     LaurentPolynomial,
     OmegaElement,
     Scalar,
-    exact_scalar_div,
-    one_like,
-    rational,
-    scalar_inverse,
-    zero_like,
 )
 from .matrix3 import Matrix3, SingularMatrixError
 from .sequences import (
@@ -72,7 +66,6 @@ __all__ = [
     "Counterexample",
     "DomainError",
     "ExactAlgebraError",
-    "ExactRational",
     "IDENTITIES",
     "IDENTITY_NAMES",
     "Identity",
@@ -96,7 +89,6 @@ __all__ = [
     "characteristic_residual",
     "det_J",
     "det_j",
-    "exact_scalar_div",
     "generator",
     "get_identity",
     "j_power",
@@ -108,12 +100,8 @@ __all__ = [
     "matrix_term",
     "modified_lucas_classic",
     "modified_lucas_recurrence",
-    "one_like",
-    "rational",
-    "scalar_inverse",
     "sequence_term",
     "t_term",
     "verify_all",
     "verify_identity",
-    "zero_like",
 ]

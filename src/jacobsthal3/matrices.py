@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .matrix3 import Matrix3
-from .rings import ConsistencyError, DomainError, Scalar, scalar_inverse
+from .rings import ConsistencyError, DomainError, Scalar
 from .sequences import KValue, T_term, jac3_term, lucas3_term, t_term
 
 # Entries per cache.  `jac3 verify` on its default grid asks J_power for 192
@@ -41,7 +41,7 @@ def generator(k: KValue) -> Matrix3:
 def lucas_seed(k: KValue) -> Matrix3:
     """N(k, 0), the seed that turns powers of G into the Lucas-side family."""
     kk = k.k()
-    inv_k = scalar_inverse(kk)
+    inv_k = 1 / kk
     two = k.scalar(2)
     return Matrix3(((kk - 1, 2 * kk, 2 * kk),
                     (two, 1 - kk, two),

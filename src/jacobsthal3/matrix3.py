@@ -9,17 +9,10 @@ on |n|, inverting the base once for negative exponents.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .rings import (
-    ExactAlgebraError,
-    LaurentPolynomial,
-    Scalar,
-    _SCALAR_TYPES,
-    one_like,
-    scalar_inverse,
-    zero_like,
-)
+from .rings import ExactAlgebraError, Scalar
 
 
 class SingularMatrixError(ExactAlgebraError, ArithmeticError):
@@ -59,8 +52,8 @@ class Matrix3:
 
     @classmethod
     def identity_like(cls, template: "Matrix3") -> "Matrix3":
-        one = one_like(template.rows[0][0])
-        zero = zero_like(template.rows[0][0])
+        one = template.rows[0][0] ** 0
+        zero = one - one
         return cls(((one, zero, zero), (zero, one, zero), (zero, zero, one)))
 
     def __add__(self, other):
@@ -92,14 +85,10 @@ class Matrix3:
                 )
                 for i in range(3)
             )
-        if isinstance(other, _SCALAR_TYPES):
-            return Matrix3(tuple(x * other for x in row) for row in self.rows)
-        return NotImplemented
+        return Matrix3(tuple(x * other for x in row) for row in self.rows)
 
     def __rmul__(self, other):
-        if isinstance(other, _SCALAR_TYPES):
-            return Matrix3(tuple(other * x for x in row) for row in self.rows)
-        return NotImplemented
+        return Matrix3(tuple(other * x for x in row) for row in self.rows)
 
     def __pow__(self, n: int) -> "Matrix3":
         if not isinstance(n, int):
@@ -131,11 +120,11 @@ class Matrix3:
         )
 
     def inverse(self) -> "Matrix3":
-        d = self.det()
-        unit = d.is_unit if isinstance(d, LaurentPolynomial) else d != 0
-        if not unit:
-            raise SingularMatrixError("singular or non-unit determinant")
-        return self.adjugate() * scalar_inverse(d)
+        try:
+            inv_det = Fraction(1) / self.det()
+        except (ZeroDivisionError, ExactAlgebraError) as exc:
+            raise SingularMatrixError("singular or non-unit determinant") from exc
+        return self.adjugate() * inv_det
 
     def to_strings(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.rows]

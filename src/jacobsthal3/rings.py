@@ -11,6 +11,10 @@ Two scalar domains are supported everywhere in this package:
   multiplication via multipoint Kronecker substitution", J. Symbolic
   Comput. 44, 2009).
 
+Both domains answer the same operators, ``+ - * / ** ==``; ``/`` is exact
+division, and a Laurent quotient that is not exact raises
+:class:`InexactDivisionError`.
+
 On top of either domain, :class:`OmegaElement` adjoins a primitive cube
 root of unity w with w^2 = -w - 1, which is what makes the closed-form
 (Binet-style) evaluation of the sequences exact instead of numeric.
@@ -42,18 +46,6 @@ class InexactDivisionError(ExactAlgebraError, ArithmeticError):
 
 class ConsistencyError(ExactAlgebraError, RuntimeError):
     """Two routes that must agree exactly did not; always an implementation bug."""
-
-
-# The fixed-k scalar type is the stdlib arbitrary-precision fraction; it
-# already maintains the canonical form (positive denominator, reduced).
-ExactRational = Fraction
-
-
-def rational(num: int, den: int = 1) -> Fraction:
-    """Canonical fraction num/den, with the sign carried by the numerator."""
-    if den == 0:
-        raise DomainError("zero denominator")
-    return Fraction(num, den)
 
 
 def _as_fraction(c) -> Fraction:
@@ -285,13 +277,13 @@ class LaurentPolynomial:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        # Scalar division only (used for the exact /3 in the omega extension);
-        # polynomial divisors go through exact_div.
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise DomainError("division by zero")
-            return self * (1 / _as_fraction(other))
-        return NotImplemented
+        return self.exact_div(other)
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o.exact_div(self)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -313,7 +305,7 @@ class LaurentPolynomial:
         c = self.coeffs[0]
         return _make(-self.lo, (self.den if c > 0 else -self.den,), abs(c))
 
-    def exact_div(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
+    def exact_div(self, divisor: "LaurentPolynomial | int | Fraction") -> "LaurentPolynomial":
         """Exact quotient self/divisor; raises if the division is inexact.
 
         Monomials are units, so dividing the numerator tuples (both starting
@@ -416,51 +408,13 @@ class LaurentPolynomial:
 
 Scalar = Union[Fraction, LaurentPolynomial]
 
-_SCALAR_TYPES = (int, Fraction, LaurentPolynomial)
-
-
-def one_like(s: Scalar) -> Scalar:
-    if isinstance(s, LaurentPolynomial):
-        return LaurentPolynomial.one()
-    return Fraction(1)
-
-
-def zero_like(s: Scalar) -> Scalar:
-    if isinstance(s, LaurentPolynomial):
-        return LaurentPolynomial.zero()
-    return Fraction(0)
-
-
-def scalar_inverse(s: Scalar) -> Scalar:
-    """Multiplicative inverse of a unit scalar (nonzero rational, Laurent monomial)."""
-    if isinstance(s, LaurentPolynomial):
-        return s.inverse()
-    s = _as_fraction(s)
-    if s == 0:
-        raise DomainError("zero is not invertible")
-    return Fraction(1) / s
-
-
-def exact_scalar_div(num: Scalar, den: Scalar) -> Scalar:
-    """Exact division in whichever scalar domain the operands live in."""
-    if isinstance(num, LaurentPolynomial) or isinstance(den, LaurentPolynomial):
-        num_l = LaurentPolynomial._coerce(num)
-        den_l = LaurentPolynomial._coerce(den)
-        if num_l is None or den_l is None:
-            raise DomainError("incompatible scalar domains")
-        return num_l.exact_div(den_l)
-    den = _as_fraction(den)
-    if den == 0:
-        raise DomainError("division by zero")
-    return _as_fraction(num) / den
-
-
 class OmegaElement:
     """a + b*w where w is a primitive cube root of unity (w^2 = -w - 1).
 
-    The components live in either scalar domain.  The two roots of
-    x^2 + x + 1 are w and -1 - w; their difference 2w + 1 squares to -3,
-    which gives the exact division in :meth:`div_root_diff`.
+    The components live in either scalar domain; any operand that is not an
+    OmegaElement is a scalar of that domain.  The two roots of x^2 + x + 1
+    are w and -1 - w; their difference 2w + 1 squares to -3, which gives
+    the exact division in :meth:`div_root_diff`.
     """
 
     __slots__ = ("a", "b")
@@ -475,9 +429,7 @@ class OmegaElement:
     def __eq__(self, other):
         if isinstance(other, OmegaElement):
             return self.a == other.a and self.b == other.b
-        if isinstance(other, _SCALAR_TYPES):
-            return self.a == other and self.b == 0
-        return NotImplemented
+        return self.a == other and self.b == 0
 
     def __hash__(self):
         return hash(self.a) if self.b == 0 else hash((self.a, self.b))
@@ -491,9 +443,7 @@ class OmegaElement:
     def __add__(self, other):
         if isinstance(other, OmegaElement):
             return OmegaElement(self.a + other.a, self.b + other.b)
-        if isinstance(other, _SCALAR_TYPES):
-            return OmegaElement(self.a + other, self.b)
-        return NotImplemented
+        return OmegaElement(self.a + other, self.b)
 
     __radd__ = __add__
 
@@ -503,14 +453,10 @@ class OmegaElement:
     def __sub__(self, other):
         if isinstance(other, OmegaElement):
             return self + (-other)
-        if isinstance(other, _SCALAR_TYPES):
-            return OmegaElement(self.a - other, self.b)
-        return NotImplemented
+        return OmegaElement(self.a - other, self.b)
 
     def __rsub__(self, other):
-        if isinstance(other, _SCALAR_TYPES):
-            return (-self) + other
-        return NotImplemented
+        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, OmegaElement):
@@ -518,17 +464,15 @@ class OmegaElement:
             a = self.a * other.a - self.b * other.b
             b = self.a * other.b + other.a * self.b - self.b * other.b
             return OmegaElement(a, b)
-        if isinstance(other, _SCALAR_TYPES):
-            return OmegaElement(self.a * other, self.b * other)
-        return NotImplemented
+        return OmegaElement(self.a * other, self.b * other)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        one = one_like(self.a)
-        result = OmegaElement(one, zero_like(self.a))
+        one = self.a ** 0
+        result = OmegaElement(one, one - one)
         base = self
         while n:
             if n & 1:
@@ -542,6 +486,4 @@ class OmegaElement:
 
         (2w + 1)^2 = -3, hence 1/(2w + 1) = -(2w + 1)/3.
         """
-        one = one_like(self.a)
-        inv = OmegaElement(-(one / 3), -(one * 2) / 3)
-        return self * inv
+        return self * OmegaElement(Fraction(-1, 3), Fraction(-2, 3))

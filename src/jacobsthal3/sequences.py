@@ -31,8 +31,6 @@ from .rings import (
     LaurentPolynomial,
     OmegaElement,
     Scalar,
-    exact_scalar_div,
-    scalar_inverse,
 )
 
 
@@ -88,7 +86,7 @@ def _term(k: KValue, n: int, seeds: tuple[Scalar, Scalar, Scalar]) -> Scalar:
         for _ in range(n):
             u0, u1, u2 = u1, u2, km1 * u2 + km1 * u1 + kk * u0
         return u0
-    inv_k = scalar_inverse(kk)
+    inv_k = 1 / kk
     for _ in range(-n):
         u0, u1, u2 = inv_k * (u2 - km1 * u1 - km1 * u0), u0, u1
     return u0
@@ -103,7 +101,7 @@ def _div_k2_k_1(k: KValue, numerator: Scalar, route: str) -> Scalar:
     """numerator / (k^2+k+1); an inexact quotient is a bug in `route`, not bad input."""
     kk = k.k()
     try:
-        return exact_scalar_div(numerator, kk * kk + kk + 1)
+        return numerator / (kk * kk + kk + 1)
     except InexactDivisionError as exc:
         raise ConsistencyError(f"{route} numerator not divisible by k^2+k+1") from exc
 

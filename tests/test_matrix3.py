@@ -86,9 +86,9 @@ def test_identity_inverse_is_identity():
 
 
 def test_singular_matrices_rejected():
-    zero = Matrix3(((ZERO,) * 3,) * 3)
-    with pytest.raises(SingularMatrixError):
-        zero.inverse()
+    for zero in (ZERO, Fraction(0)):
+        with pytest.raises(SingularMatrixError):
+            Matrix3(((zero,) * 3,) * 3).inverse()
     # Nonzero determinant that is not a Laurent unit is still not invertible.
     k2 = KValue.fixed(2)
     from jacobsthal3 import N_matrix
@@ -96,6 +96,14 @@ def test_singular_matrices_rejected():
     with pytest.raises(SingularMatrixError):
         N_matrix(SYM, 0).inverse()
     assert N_matrix(k2, 0).inverse() * N_matrix(k2, 0) == Matrix3.identity_like(N_matrix(k2, 0))
+
+
+def test_inverse_of_int_matrix_has_fraction_entries():
+    # A unimodular int matrix: 1 / det on two ints would give float entries.
+    m = Matrix3(((2, 1, 0), (1, 1, 0), (0, 0, 1)))
+    inv = m.inverse()
+    assert inv == Matrix3(((1, -1, 0), (-1, 2, 0), (0, 0, 1)))
+    assert all(type(x) is Fraction for row in inv for x in row)
 
 
 def test_adjugate_identity():

@@ -10,6 +10,7 @@ from jacobsthal3 import (
     M_matrix,
     Matrix3,
     N_matrix,
+    T_term,
     assemble_J_closed_form,
     assemble_j_closed_form,
     characteristic_residual,
@@ -17,10 +18,14 @@ from jacobsthal3 import (
     det_j,
     generator,
     j_power,
+    jac3_binet,
+    jac3_term,
+    lucas3_term,
     matrix_term,
-    scalar_inverse,
+    t_term,
 )
 from jacobsthal3.matrices import lucas_seed
+from jacobsthal3.sequences import jac3_recurrence
 
 SYM = KValue.symbolic()
 K2 = KValue.fixed(2)
@@ -66,7 +71,7 @@ def m_seeds(k):
 def n_seeds(k):
     """N(k, 0..2), written out entry by entry."""
     kk, two = k.k(), k.scalar(2)
-    inv_k = scalar_inverse(kk)
+    inv_k = 1 / kk
     n0 = Matrix3(
         (
             (kk - 1, 2 * kk, 2 * kk),
@@ -281,6 +286,45 @@ def test_matrix_term_dispatch():
         matrix_term("Q", SYM, 1)
     with pytest.raises(DomainError):
         matrix_term("M", SYM, -1)
+
+
+# --- scalar domain -------------------------------------------------------------
+
+
+def _assert_in_domain(k, values, where):
+    domain = LaurentPolynomial if k.is_symbolic else Fraction
+    for v in values:
+        assert type(v) is domain, f"k={k.label()} {where}: {type(v).__name__} {v!r}"
+
+
+def _entries(m):
+    return [x for row in m for x in row]
+
+
+@pytest.mark.parametrize("k", ALL_K)
+def test_values_stay_in_the_scalar_domain_of_k(k):
+    # Fixed k computes in Fraction and symbolic k in LaurentPolynomial; an
+    # int or float (say from 1 / int) must never leak into a result.
+    for n in range(-6, 7):
+        for term in (jac3_term, lucas3_term, T_term, t_term, jac3_binet, jac3_recurrence):
+            _assert_in_domain(k, [term(k, n)], f"{term.__name__}({n})")
+        matrices = {
+            "J_power": J_power(k, n),
+            "j_power": j_power(k, n),
+            "assemble_J_closed_form": assemble_J_closed_form(k, n),
+            "assemble_j_closed_form": assemble_j_closed_form(k, n),
+            "generator ** n": generator(k) ** n,
+            "J_power inverse": J_power(k, n).inverse(),
+        }
+        if n >= 0:
+            matrices.update(M_matrix=M_matrix(k, n), N_matrix=N_matrix(k, n))
+        if not k.is_symbolic:  # det N(k, 0) is no Laurent unit
+            matrices["j_power inverse"] = j_power(k, n).inverse()
+        for name, m in matrices.items():
+            _assert_in_domain(k, _entries(m) + [m.det()], f"{name} at n={n}")
+    _assert_in_domain(k, _entries(lucas_seed(k)), "lucas_seed")
+    if not k.is_symbolic:
+        _assert_in_domain(k, _entries(lucas_seed(k).inverse()), "lucas_seed inverse")
 
 
 # --- caches ----------------------------------------------------------------------
